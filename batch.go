@@ -3,7 +3,6 @@ package cqp
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 
@@ -32,30 +31,13 @@ type BatchResult struct {
 	Duplicate bool
 }
 
-// fingerprint derives the batch-dedup identity of an item: the query's
-// canonical fingerprint, the profile text (rendered once per distinct
-// Profile by the caller), the problem, and the resolved options — written
-// as explicit named fields, not a %+v of the options struct, so a field
-// rename or reorder can never silently change dedup identity. Two items
-// with equal fingerprints would run the exact same pipeline, so one run
-// can answer both.
-func (it BatchItem) fingerprint(profileText string) string {
-	o := defaultOptions()
-	for _, fn := range it.Opts {
-		fn(&o)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|a=%s k=%d any=%v merge=%v b=%d",
-		it.Query.Fingerprint(), profileText, it.Problem,
-		o.algorithm, o.maxK, o.anyMatch, o.merge, o.budget)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// dedupBatch partitions items into leaders (first item per fingerprint)
-// and followers, recording input errors for invalid items. Profile text is
-// rendered once per distinct *Profile — a batch fanning one profile across
-// many queries used to re-render it per item.
-func dedupBatch(items []BatchItem, out []BatchResult) (leaders []int, followers map[int][]int) {
+// dedupBatch partitions items into leaders (first item per Request.Key)
+// and followers, recording input errors for invalid items. mode is the
+// batch's last stage, so an executed batch never shares identity with a
+// personalize-only one. Profile text is rendered once per distinct
+// *Profile — a batch fanning one profile across many queries used to
+// re-render it per item.
+func dedupBatch(items []BatchItem, mode Mode, out []BatchResult) (leaders []int, followers map[int][]int) {
 	leaders = make([]int, 0, len(items))
 	leaderOf := make(map[string]int, len(items))
 	followers = make(map[int][]int)
@@ -70,12 +52,13 @@ func dedupBatch(items []BatchItem, out []BatchResult) (leaders []int, followers 
 			text = it.Profile.String()
 			profText[it.Profile] = text
 		}
-		fp := it.fingerprint(text)
-		if li, ok := leaderOf[fp]; ok {
+		req := Request{Mode: mode, Query: it.Query, ProfileText: text, Problem: it.Problem, Opts: it.Opts}
+		key := req.Key()
+		if li, ok := leaderOf[key]; ok {
 			followers[li] = append(followers[li], i)
 			continue
 		}
-		leaderOf[fp] = i
+		leaderOf[key] = i
 		leaders = append(leaders, i)
 	}
 	return leaders, followers
@@ -123,9 +106,9 @@ func runBatch(leaders []int, followers map[int][]int, out []BatchResult, paralle
 
 // PersonalizeBatch personalizes many (query, profile, problem) items in one
 // call — the serving shape of a list page, where one screen fans into many
-// closely related personalizations. Items are deduplicated by fingerprint
-// (query + profile + problem + options) so each distinct pipeline runs
-// once, distinct items run across a bounded worker group (parallelism ≤ 0
+// closely related personalizations. Items are deduplicated by Request.Key
+// (query + profile + problem + resolved options) so each distinct pipeline
+// runs once, distinct items run across a bounded worker group (parallelism ≤ 0
 // selects GOMAXPROCS), and results come back in input order, one per item,
 // with per-item errors: a malformed item fails alone without poisoning its
 // batch. Distinct items also share work below the dedup layer: every
@@ -134,7 +117,7 @@ func runBatch(leaders []int, followers map[int][]int, out []BatchResult, paralle
 // A canceled ctx aborts the underlying personalizations with its error.
 func (p *Personalizer) PersonalizeBatch(ctx context.Context, items []BatchItem, parallelism int) []BatchResult {
 	out := make([]BatchResult, len(items))
-	leaders, followers := dedupBatch(items, out)
+	leaders, followers := dedupBatch(items, ModePersonalize, out)
 	runBatch(leaders, followers, out, parallelism, func(i int) {
 		it := items[i]
 		out[i].Result, out[i].Err = p.PersonalizeContext(ctx, it.Query, it.Profile, it.Problem, it.Opts...)
@@ -156,7 +139,7 @@ func (p *Personalizer) PersonalizeBatch(ctx context.Context, items []BatchItem, 
 // streaming scans.
 func (p *Personalizer) ExecuteBatch(ctx context.Context, items []BatchItem, parallelism int, shareBytes int64) []BatchResult {
 	out := make([]BatchResult, len(items))
-	leaders, followers := dedupBatch(items, out)
+	leaders, followers := dedupBatch(items, ModeExecute, out)
 	ctx = exec.WithScanShare(ctx, exec.NewScanShare(shareBytes))
 	runBatch(leaders, followers, out, parallelism, func(i int) {
 		it := items[i]

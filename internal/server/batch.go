@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"time"
@@ -12,7 +10,6 @@ import (
 	"cqp"
 	"cqp/internal/exec"
 	"cqp/internal/obs"
-	"cqp/internal/resilience"
 )
 
 // batchRequest is the body of POST /personalize/batch: a list of
@@ -63,61 +60,6 @@ type batchResponse struct {
 	PhysicalScans int64 `json:"physical_scans,omitempty"`
 }
 
-// batchUnit is one parsed, pipeline-distinct batch item.
-type batchUnit struct {
-	idx       int
-	q         *cqp.Query
-	prob      cqp.Problem
-	prof      *cqp.Profile
-	version   uint64
-	cacheable bool
-	// stale marks a profile resolved from a failover replica; the item's
-	// answer is marked stale_replica and never cached.
-	stale bool
-}
-
-// itemError builds the per-item error envelope for a status code.
-func itemError(code int, err error) *errorBody {
-	class := classFor(code)
-	if errors.Is(err, resilience.ErrExhausted) {
-		class = "degraded_unavailable"
-	}
-	return &errorBody{Class: class, Message: err.Error()}
-}
-
-// admitStatus maps an admission error onto a status code — the non-HTTP
-// sibling of Server.admit, for per-item batch errors.
-func admitStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusServiceUnavailable
-	}
-}
-
-// batchIdentity is the dedup key of one item: query fingerprint, profile
-// identity (stored id@version, or a hash of the inline text), problem, and
-// every solver knob. Two items with equal identities would run the exact
-// same pipeline, so one run answers both. NoCache is part of the identity:
-// an item that demanded a fresh run must not be answered by one that may
-// come from cache. Execute mode (and its row limit) is part of the
-// identity too — a personalize-only run cannot answer an executed item.
-func batchIdentity(q *cqp.Query, item personalizeRequest, version uint64, prob cqp.Problem, execute bool, limit int) string {
-	prof := item.ProfileID
-	if prof == "" {
-		h := fnv.New64a()
-		h.Write([]byte(item.Profile))
-		prof = fmt.Sprintf("inline:%016x", h.Sum64())
-	}
-	return fmt.Sprintf("%s|%s@%d|%s|a=%s k=%d b=%d any=%v merge=%v nc=%v exec=%v lim=%d",
-		q.Fingerprint(), prof, version, prob,
-		item.Algorithm, item.K, item.Budget, item.AnyMatch, item.Merge, item.NoCache,
-		execute, limit)
-}
-
 // rungSeverity orders degradation rungs for the batch's worst-rung
 // aggregate; higher is worse. Unknown rungs rank just below unavailable so
 // a new rung is never silently treated as full fidelity.
@@ -140,19 +82,24 @@ func rungSeverity(rung string) int {
 	}
 }
 
+// roleCost orders cache/coalesce roles by the pipeline work they stand
+// for; a batch takes its costliest unit's role (see handleBatch).
+var roleCost = map[string]int{"hit": 1, "follower": 2, "leader": 3, "solo": 4}
+
 // handleBatch serves POST /personalize/batch — the list-page shape: many
-// personalizations in one request. Items are deduplicated by identity
-// (query + profile + problem + options), distinct items run concurrently
-// through the same admission pool, cache, coalescing and degradation
-// machinery as /personalize, and results come back in item order with
-// per-item errors: one malformed or infeasible item fails alone. With
-// "execute": true every item also runs its personalized query, all items
-// sharing one physical scan per base relation.
+// personalizations in one request. Items become request values and are
+// deduplicated by Key, distinct items run concurrently down the same
+// pipeline path as /personalize (or /execute), and results come back in
+// item order with per-item errors: one malformed or infeasible item fails
+// alone. With "execute": true every item also runs its personalized query,
+// all items sharing one physical scan per base relation.
 //
-// Degradation attribution is aggregated per batch: each unit reports its
-// rung, the batch's flight record gets the worst one (concurrent units
-// used to each SetRung on the one shared request record, leaving an
-// arbitrary last writer), and the response carries per-rung counts.
+// Units never write the batch's shared flight record: each runs under a
+// private one, and once every unit finished the batch records a role and
+// a rung decided from the units' outcomes alone — the worst rung, and the
+// costliest role (solo > leader > follower > hit), so the batch reads as
+// a cache hit only when every unit was one and as a follower only when no
+// unit ran the pipeline itself. The response carries per-rung counts.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
@@ -170,11 +117,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := obs.RequestFromContext(r.Context())
 	lp := startLaps(rec)
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "batch")
+	ctx, cancel, tr := s.requestContext(r.Context(), req.TimeoutMS, "batch")
 	defer cancel()
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.MaxRows
+	mode, limit := cqp.ModePersonalize, 0
+	if req.Execute {
+		mode, limit = cqp.ModeExecute, s.rowLimit(req.Limit)
 	}
 	var share *exec.ScanShare
 	if req.Execute && !s.cfg.NoScanShare {
@@ -183,46 +130,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]batchItemJSON, len(req.Items))
-	rungs := make([]string, len(req.Items))
+	units := make([]*request, len(req.Items))
 	leaderOf := make(map[string]int, len(req.Items))
 	followers := make(map[int][]int)
-	var units []batchUnit
-	for i, item := range req.Items {
-		q, err := cqp.ParseQuery(s.db.Schema(), item.SQL)
+	for i := range req.Items {
+		item := &req.Items[i]
+		u, err := s.newRequest(r.Context(), item.SQL, &item.Problem, item.request(mode, limit))
 		if err != nil {
-			results[i].Error = itemError(http.StatusBadRequest, err)
+			results[i] = errorItem(err)
 			continue
 		}
-		prob, err := item.Problem.build()
-		if err != nil {
-			results[i].Error = itemError(http.StatusBadRequest, err)
-			continue
-		}
-		prof, version, cacheable, stale, code, err := s.resolveProfile(r, item.ProfileID, item.Profile)
-		if err != nil {
-			results[i].Error = itemError(code, err)
-			continue
-		}
-		id := batchIdentity(q, item, version, prob, req.Execute, limit)
-		if li, ok := leaderOf[id]; ok {
+		if li, ok := leaderOf[u.key]; ok {
 			followers[li] = append(followers[li], i)
 			continue
 		}
-		leaderOf[id] = i
-		units = append(units, batchUnit{
-			idx: i, q: q, prob: prob, prof: prof, version: version,
-			cacheable: cacheable, stale: stale,
-		})
+		leaderOf[u.key] = i
+		u.inBatch, u.trace = true, false
+		units[i] = u
 	}
 	lp.lap(obs.PhaseParse)
 
+	roles := make([]string, len(req.Items))
+	rungs := make([]string, len(req.Items))
 	var wg sync.WaitGroup
-	for _, u := range units {
+	for i, u := range units {
+		if u == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(u batchUnit) {
+		go func() {
 			defer wg.Done()
-			results[u.idx], rungs[u.idx] = s.personalizeUnit(ctx, u, req.Items[u.idx], req.Execute, limit)
-		}(u)
+			urec := obs.NewRequest("batch", rec.ID())
+			results[i] = s.batchItem(obs.ContextWithRequest(ctx, urec), u)
+			snap := urec.Snapshot()
+			roles[i], rungs[i] = snap.Role, snap.Rung
+		}()
 	}
 	wg.Wait()
 
@@ -235,9 +177,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			duplicates++
 		}
 	}
-	worst := ""
+	worst, role := "", ""
 	var counts map[string]int
-	for _, rung := range rungs {
+	for i, rung := range rungs {
+		if roleCost[roles[i]] > roleCost[role] {
+			role = roles[i]
+		}
 		if rung == "" {
 			continue
 		}
@@ -249,11 +194,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			worst = rung
 		}
 	}
-	// One deterministic write after every unit finished: the record shows
-	// the batch's worst rung, whatever order the units' ladders ran in.
+	rec.SetRole(role)
 	rec.SetRung(worst)
 	resp := batchResponse{
-		Results: results, Distinct: len(units), Duplicates: duplicates,
+		Results: results, Distinct: len(leaderOf), Duplicates: duplicates,
 		DegradedCounts: counts,
 	}
 	if share != nil {
@@ -265,91 +209,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// personalizeUnit runs one batch item through the /personalize machinery
-// (or /execute machinery in execute mode): warm cache path, then the
-// coalesced, admission-controlled, ladder-backed pipeline. Identical
-// concurrent work — inside this batch or from any other request — shares
-// one run via the flight table; executed units share the endpoint's result
-// cache with singleton /execute requests. The second return is the item's
-// degradation rung for the batch-level aggregate; the unit itself never
-// writes the shared request record.
-func (s *Server) personalizeUnit(ctx context.Context, u batchUnit, item personalizeRequest, execute bool, limit int) (batchItemJSON, string) {
-	endpoint := "personalize"
-	if execute {
-		endpoint = "execute"
-	}
-	key, staleKey := "", ""
-	if u.cacheable && !item.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v",
-			u.prob, item.Algorithm, item.K, item.Budget, item.AnyMatch, item.Merge)
-		if execute {
-			extra += fmt.Sprintf(" lim=%d", limit)
+// batchItem runs one distinct batch item down the shared pipeline path as
+// /personalize or /execute would (sharing their result cache) and shapes
+// the item envelope.
+func (s *Server) batchItem(ctx context.Context, u *request) batchItemJSON {
+	if u.Mode != cqp.ModeExecute {
+		pr, err := serve[personalizeResponse](s, ctx, u)
+		if err != nil {
+			return errorItem(err)
 		}
-		key = s.cacheKey(endpoint, u.q, item.ProfileID, u.version, extra)
-		staleKey = s.staleKey(endpoint, u.q, item.ProfileID, extra)
-		if v, ok := s.cacheGet(key); ok {
-			out := itemFromOutcome(v, execute)
-			out.Cached = true
-			return out, ""
-		}
+		return batchItemJSON{personalizeResponse: pr}
 	}
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, u.q, u.prof, prob,
-				buildOpts(alg, item.K, item.Budget, item.AnyMatch, item.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			if !execute {
-				return personalizeResponseFrom(res, item.ProfileID, u.version), nil
-			}
-			rows, err := res.ExecuteContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return executeResponseFrom(res, rows, item.ProfileID, u.version, limit), nil
-		}
+	er, err := serve[executeResponse](s, ctx, u)
+	if err != nil {
+		return errorItem(err)
 	}
-	rungs := []resilience.Step{s.step("heuristic", build(u.prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(u.prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
+	return batchItemJSON{
+		personalizeResponse: &er.personalizeResponse,
+		Rows:                er.Rows,
+		RowCount:            er.RowCount,
+		TotalRows:           er.TotalRows,
+		BlockReads:          er.BlockReads,
+		ExecMS:              er.ExecMS,
 	}
-	o, leader := s.runPipeline(ctx, endpoint, key, staleKey, build(u.prob, item.Algorithm), rungs...)
-	if o.admitErr != nil {
-		if v, ok := s.cache.GetStale(staleKey); ok {
-			s.reg.Counter("server_degraded_total", "endpoint", endpoint, "rung", "stale").Inc()
-			out := itemFromOutcome(markStale(v), execute)
-			return out, "stale"
-		}
-		return batchItemJSON{Error: itemError(admitStatus(o.admitErr), o.admitErr)}, ""
-	}
-	if o.perr != nil {
-		rung := ""
-		if errors.Is(o.perr, resilience.ErrExhausted) {
-			rung = "unavailable"
-		}
-		return batchItemJSON{Error: itemError(pipelineStatus(o.perr), o.perr)}, rung
-	}
-	if o.out == nil {
-		return batchItemJSON{Error: itemError(http.StatusGatewayTimeout, errDeadlineSkipped)}, ""
-	}
-	out := itemFromOutcome(o.out, execute)
-	out.Degraded = o.degraded
-	if u.stale && out.Degraded == "" {
-		out.Degraded = degradedStaleReplica
-	}
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, item.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		out.Cached = true
-	}
-	return out, out.Degraded
+}
+
+// errorItem is a failed item's slot: the error envelope classify gives err.
+func errorItem(err error) batchItemJSON {
+	_, body := classify(0, err)
+	return batchItemJSON{Error: &body}
 }
 
 // executeResponseFrom assembles the /execute response shape from a
-// personalization and its executed rows, truncated to limit — shared by
-// handleExecute's build closure and execute-mode batch units so the two
-// paths can never drift (they share cache entries).
+// personalization and its executed rows, truncated to limit.
 func executeResponseFrom(res *cqp.Result, rows *exec.UnionResult, profileID string, version uint64, limit int) *executeResponse {
 	er := &executeResponse{
 		personalizeResponse: *personalizeResponseFrom(res, profileID, version),
@@ -361,45 +253,8 @@ func executeResponseFrom(res *cqp.Result, rows *exec.UnionResult, profileID stri
 		if i >= limit {
 			break
 		}
-		vals := make([]string, len(rr.Key))
-		for j, v := range rr.Key {
-			vals[j] = v.String()
-		}
-		er.Rows = append(er.Rows, rowJSON{Values: vals, Doi: rr.Doi, Matched: len(rr.Matched)})
+		er.Rows = append(er.Rows, rowJSON{Values: rowValues(rr.Key), Doi: rr.Doi, Matched: len(rr.Matched)})
 	}
 	er.RowCount = len(er.Rows)
 	return er
-}
-
-// itemFromOutcome shapes one unit's pipeline outcome (a cached or fresh
-// *personalizeResponse / *executeResponse, or a markStale copy of either)
-// into the batch item envelope, copying the embedded response so the
-// shared cached value is never aliased by a per-item mutation.
-func itemFromOutcome(v any, execute bool) batchItemJSON {
-	if execute {
-		var er executeResponse
-		switch t := v.(type) {
-		case *executeResponse:
-			er = *t
-		case executeResponse:
-			er = t
-		}
-		pr := er.personalizeResponse
-		return batchItemJSON{
-			personalizeResponse: &pr,
-			Rows:                er.Rows,
-			RowCount:            er.RowCount,
-			TotalRows:           er.TotalRows,
-			BlockReads:          er.BlockReads,
-			ExecMS:              er.ExecMS,
-		}
-	}
-	var pr personalizeResponse
-	switch t := v.(type) {
-	case *personalizeResponse:
-		pr = *t
-	case personalizeResponse:
-		pr = t
-	}
-	return batchItemJSON{personalizeResponse: &pr}
 }

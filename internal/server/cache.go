@@ -7,12 +7,12 @@ import (
 	"cqp/internal/obs"
 )
 
-// Cache is the daemon's LRU result-and-estimate cache. Keys are built by
-// the handlers from (endpoint, normalized query fingerprint, profile
-// ID@version, statistics generation, problem, options), so a profile
-// mutation or a Personalizer.Refresh changes the key and logically
-// invalidates every dependent entry; InvalidateProfile and Purge reclaim
-// the dead entries eagerly. Values are immutable response objects.
+// Cache is the daemon's LRU result-and-estimate cache. Keys are request
+// keys (cqp.Request.Key), which include the profile ID@version and the
+// statistics generation, so a profile mutation or a Personalizer.Refresh
+// changes the key and logically invalidates every dependent entry;
+// InvalidateProfile and Purge reclaim the dead entries eagerly. Values are
+// immutable response objects.
 type Cache struct {
 	mu        sync.Mutex
 	max       int
@@ -22,7 +22,7 @@ type Cache struct {
 
 	// The stale index is the degradation ladder's first rung: a second
 	// bounded LRU keyed WITHOUT profile version or statistics generation, so
-	// the last good answer for (endpoint, query, profile, options) stays
+	// the last good answer for (mode, query, profile, options) stays
 	// reachable after the exact key has rotated away. It deliberately
 	// survives InvalidateProfile and Purge — serving from it is explicitly
 	// marked stale in the response, and a deleted profile 404s before any

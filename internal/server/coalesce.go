@@ -10,10 +10,9 @@ import (
 	"cqp/internal/resilience"
 )
 
-// flightOutcome is everything one pipeline run produces, in the shape the
-// handler tails consume: the response value, the degradation rung that
-// answered, the pipeline error, and the admission error. Exactly the fields
-// the pre-coalescing handlers tracked in locals.
+// flightOutcome is everything one pipeline run produces, in the shape serve
+// consumes: the response value, the degradation rung that answered, the
+// pipeline error, and the admission error.
 type flightOutcome struct {
 	out      any
 	degraded string

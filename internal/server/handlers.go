@@ -66,8 +66,7 @@ type solutionJSON struct {
 }
 
 // personalizeResponse is the body of a /personalize answer; /execute embeds
-// it. Cached, Degraded and Trace are per-request and set after any cache
-// copy.
+// it.
 type personalizeResponse struct {
 	SQL            string       `json:"sql"`
 	Preferences    []string     `json:"preferences"`
@@ -76,7 +75,13 @@ type personalizeResponse struct {
 	SupremeCostMS  float64      `json:"supreme_cost_ms"`
 	ProfileID      string       `json:"profile_id,omitempty"`
 	ProfileVersion uint64       `json:"profile_version,omitempty"`
-	Cached         bool         `json:"cached"`
+	responseTail
+}
+
+// responseTail is the per-request end of every pipeline response, set
+// after any cache or coalesced copy.
+type responseTail struct {
+	Cached bool `json:"cached"`
 	// Degraded names the ladder rung that answered ("stale", "heuristic",
 	// "tight-cmax"); empty for a full-fidelity answer.
 	Degraded string `json:"degraded,omitempty"`
@@ -89,6 +94,8 @@ type personalizeResponse struct {
 	RequestID     string           `json:"request_id,omitempty"`
 	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
 }
+
+func (t *responseTail) tail() *responseTail { return t }
 
 // rowJSON is one ranked answer row.
 type rowJSON struct {
@@ -135,12 +142,8 @@ type frontResponse struct {
 	Points []frontPointJSON `json:"points"`
 	// Truncated reports that the frontier search hit its state budget —
 	// the menu is best-found, not proven complete.
-	Truncated     bool             `json:"truncated,omitempty"`
-	Cached        bool             `json:"cached"`
-	Degraded      string           `json:"degraded,omitempty"`
-	Trace         string           `json:"trace,omitempty"`
-	RequestID     string           `json:"request_id,omitempty"`
-	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
+	Truncated bool `json:"truncated,omitempty"`
+	responseTail
 }
 
 // topkRequest is the body of POST /topk.
@@ -157,12 +160,8 @@ type topkRequest struct {
 }
 
 type topkResponse struct {
-	Answers       []rowJSON        `json:"answers"`
-	Cached        bool             `json:"cached"`
-	Degraded      string           `json:"degraded,omitempty"`
-	Trace         string           `json:"trace,omitempty"`
-	RequestID     string           `json:"request_id,omitempty"`
-	AttributionUS map[string]int64 `json:"attribution_us,omitempty"`
+	Answers []rowJSON `json:"answers"`
+	responseTail
 }
 
 // errorBody is the one error envelope every endpoint speaks:
@@ -179,8 +178,8 @@ type errorResponse struct {
 
 // errDeadlineSkipped is the belt-and-braces answer when the pool reports
 // success yet the task produced neither a response nor an error: the worker
-// skipped a queued task whose deadline had expired. Handlers must never
-// cache or dereference the nil response that state leaves behind.
+// skipped a queued task whose deadline had expired. serve must never cache
+// or dereference the nil response that state leaves behind.
 var errDeadlineSkipped = fmt.Errorf("server: deadline expired before the pipeline ran: %w", context.DeadlineExceeded)
 
 // statusWriter captures the response code for per-endpoint metrics, whether
@@ -401,22 +400,68 @@ func writeError(w http.ResponseWriter, code int, class, msg string) {
 	writeJSON(w, code, errorResponse{Error: errorBody{Class: class, Message: msg}})
 }
 
-// fail maps an error onto the envelope. Two refinements over classFor's
-// code-based default: an oversized body (however deep http's wrapping
-// buried it) forces 413, and an exhausted degradation ladder marks its 503
-// as degraded_unavailable — "we tried every quality level", as opposed to
-// plain unavailability.
+// fail writes err's error envelope (see classify); a 429 carries
+// Retry-After.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	var mbe *http.MaxBytesError
+	code, body := classify(code, err)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, code, body.Class, body.Message)
+}
+
+// statusError pins an error to the HTTP status its identity alone does not
+// decide (a missing profile is 404).
+type statusError struct {
+	code int
+	error
+}
+
+func (e statusError) Unwrap() error { return e.error }
+
+// classify is the one error→(status, class) mapping: the HTTP error path
+// and the batch's per-item envelope both use it. A nonzero code pins the
+// status; 0 derives it from the error: 429 for a shed request, 503 during
+// shutdown or when the client went away, 504 for an expired deadline, 422
+// for an infeasible problem, 503 for an exhausted degradation ladder, 500
+// for a recovered panic or injected fault, and 400 for everything else (a
+// caller error). The class is classFor's, with two refinements: an
+// oversized body (however deep http's wrapping buried it) forces 413, and
+// an exhausted ladder's 503 is degraded_unavailable — "we tried every
+// quality level", as opposed to plain unavailability.
+func classify(code int, err error) (int, errorBody) {
+	var se statusError
+	if code == 0 {
+		switch {
+		case errors.As(err, &se):
+			code = se.code
+		case errors.Is(err, ErrSaturated):
+			code = http.StatusTooManyRequests
+		case errors.Is(err, ErrShuttingDown):
+			code = http.StatusServiceUnavailable
+		case errors.Is(err, context.DeadlineExceeded):
+			code = http.StatusGatewayTimeout
+		case errors.Is(err, context.Canceled):
+			code = http.StatusServiceUnavailable
+		case errors.Is(err, cqp.ErrInfeasible):
+			code = http.StatusUnprocessableEntity
+		case errors.Is(err, resilience.ErrExhausted):
+			code = http.StatusServiceUnavailable
+		case transientFault(err):
+			code = http.StatusInternalServerError
+		default:
+			code = http.StatusBadRequest
+		}
+	}
 	class := classFor(code)
+	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &mbe):
-		code = http.StatusRequestEntityTooLarge
-		class = "payload_too_large"
+		code, class = http.StatusRequestEntityTooLarge, "payload_too_large"
 	case errors.Is(err, resilience.ErrExhausted):
 		class = "degraded_unavailable"
 	}
-	writeError(w, code, class, err.Error())
+	return code, errorBody{Class: class, Message: err.Error()}
 }
 
 // decodeJSON parses the bounded request body into v.
@@ -426,77 +471,38 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error
 	return dec.Decode(v)
 }
 
-// pipelineStatus maps a pipeline error onto an HTTP status: expired
-// deadlines are 504, infeasible problems 422, an exhausted degradation
-// ladder or recovered panic or injected fault 503/500, everything else a
-// caller error.
-func pipelineStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, cqp.ErrInfeasible):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, resilience.ErrExhausted):
-		return http.StatusServiceUnavailable
-	case transientFault(err):
-		return http.StatusInternalServerError
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// admit maps an admission error onto its response: 429 when the queue shed
-// the request, 503 during shutdown, 504 when the deadline expired while
-// queued or running.
-func (s *Server) admit(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		s.fail(w, http.StatusServiceUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.fail(w, http.StatusGatewayTimeout, fmt.Errorf("server: deadline expired: %w", err))
-	default:
-		// Client went away; the response writer is dead anyway.
-		s.fail(w, http.StatusServiceUnavailable, err)
-	}
-}
-
-// resolveProfile returns the request's profile: a stored one by ID (with
-// its version, cacheable) or an inline parsed one (never cached). On a
-// replica-serving request (cluster failover — the owner is down and this
-// node follows the profile) a local-store miss falls back to the
-// replicated snapshot; stale reports that fallback so the handler can
-// mark the response "stale_replica" and skip caching it.
-func (s *Server) resolveProfile(r *http.Request, id, inline string) (prof *cqp.Profile, version uint64, cacheable, stale bool, code int, err error) {
+// resolveProfile returns the request's profile: a stored one by ID at its
+// current version, or an inline parsed one. On a replica-serving request
+// (cluster failover — the owner is down and this node follows the
+// profile) a local-store miss falls back to the replicated snapshot; stale
+// reports that fallback so the answer is marked "stale_replica" and never
+// cached.
+func (s *Server) resolveProfile(ctx context.Context, id, inline string) (prof *cqp.Profile, version uint64, stale bool, err error) {
 	switch {
 	case id != "" && inline != "":
-		return nil, 0, false, false, http.StatusBadRequest, fmt.Errorf("server: profile_id and profile are mutually exclusive")
+		return nil, 0, false, fmt.Errorf("server: profile_id and profile are mutually exclusive")
 	case id != "":
 		sp, ok := s.store.Get(id)
-		if !ok && s.cluster != nil && replicaServing(r.Context()) {
+		if !ok && s.cluster != nil && replicaServing(ctx) {
 			if rp, rok := s.replicaProfile(id); rok {
-				return rp.Profile, rp.Version, false, true, 0, nil
+				return rp.Profile, rp.Version, true, nil
 			}
 		}
 		if !ok {
-			return nil, 0, false, false, http.StatusNotFound, fmt.Errorf("server: no profile %q", id)
+			return nil, 0, false, statusError{http.StatusNotFound, fmt.Errorf("server: no profile %q", id)}
 		}
-		return sp.Profile, sp.Version, true, false, 0, nil
+		return sp.Profile, sp.Version, false, nil
 	case inline != "":
 		p, err := cqp.ParseProfile(inline)
 		if err != nil {
-			return nil, 0, false, false, http.StatusBadRequest, err
+			return nil, 0, false, err
 		}
 		if err := p.Validate(s.db.Schema()); err != nil {
-			return nil, 0, false, false, http.StatusBadRequest, err
+			return nil, 0, false, err
 		}
-		return p, 0, false, false, 0, nil
+		return p, 0, false, nil
 	default:
-		return nil, 0, false, false, http.StatusBadRequest, fmt.Errorf("server: request needs profile_id or profile")
+		return nil, 0, false, fmt.Errorf("server: request needs profile_id or profile")
 	}
 }
 
@@ -506,7 +512,7 @@ func (s *Server) resolveProfile(r *http.Request, id, inline string) (prof *cqp.P
 // not the caller asked to see it — and the root span is attached to the
 // flight record so /debug/requests/{id} serves the very tree the response
 // rendered.
-func (s *Server) requestContext(r *http.Request, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
+func (s *Server) requestContext(ctx context.Context, timeoutMS int, name string) (context.Context, context.CancelFunc, *cqp.Trace) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -514,44 +520,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int, name string) (co
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
+	ctx, cancel := context.WithTimeout(ctx, d)
 	if s.cfg.SpillBytes > 0 {
 		ctx = iter.WithBudget(ctx, iter.Budget{Bytes: s.cfg.SpillBytes, Dir: s.cfg.SpillDir})
 	}
 	ctx, tr := cqp.StartTrace(ctx, name)
-	obs.RequestFromContext(r.Context()).SetTrace(tr)
+	obs.RequestFromContext(ctx).SetTrace(tr)
 	return ctx, cancel, tr
-}
-
-// buildOpts translates request knobs into Personalize options. A state
-// budget request ≤ 0 keeps the server default — a serving daemon never
-// grants the unlimited paper-faithful search.
-func buildOpts(alg string, k, budget int, anyMatch, merge bool) []cqp.Option {
-	var opts []cqp.Option
-	if alg != "" {
-		opts = append(opts, cqp.WithAlgorithm(alg))
-	}
-	if k > 0 {
-		opts = append(opts, cqp.WithMaxK(k))
-	}
-	if budget > 0 {
-		opts = append(opts, cqp.WithStateBudget(budget))
-	}
-	if anyMatch {
-		opts = append(opts, cqp.WithAnyMatch())
-	}
-	if merge {
-		opts = append(opts, cqp.WithMergedSubQueries())
-	}
-	return opts
-}
-
-// cacheKey builds the result-cache key: endpoint, the query's canonical
-// fingerprint, profile identity at its exact version, the statistics
-// generation (so Refresh invalidates), and the solver parameters.
-func (s *Server) cacheKey(endpoint string, q *cqp.Query, profileID string, version uint64, extra string) string {
-	return fmt.Sprintf("%s|%s|%s@%d|g%d|%s",
-		endpoint, q.Fingerprint(), profileID, version, s.p.Generation(), extra)
 }
 
 // cacheHitTrace builds the trace of a warm request — a lone cache_hit span,
@@ -589,411 +564,13 @@ func personalizeResponseFrom(res *cqp.Result, profileID string, version uint64) 
 	}
 }
 
-// handlePersonalize serves POST /personalize: the full pipeline minus
-// execution, under admission control, with a warm path that answers from
-// the result cache without entering the pipeline at all.
-func (s *Server) handlePersonalize(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req personalizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+// rowValues renders one answer row's values.
+func rowValues(row cqp.Row) []string {
+	vals := make([]string, len(row))
+	for j, v := range row {
+		vals[j] = v.String()
 	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prob, err := req.Problem.build()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v",
-			prob, req.Algorithm, req.K, req.Budget, req.AnyMatch, req.Merge)
-		key = s.cacheKey("personalize", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("personalize", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*personalizeResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "personalize").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "personalize")
-	defer cancel()
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, q, prof, prob,
-				buildOpts(alg, req.K, req.Budget, req.AnyMatch, req.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			return personalizeResponseFrom(res, req.ProfileID, version), nil
-		}
-	}
-	rungs := []resilience.Step{s.step("heuristic", build(prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
-	}
-	o, leader := s.runPipeline(ctx, "personalize", key, staleKey, build(prob, req.Algorithm), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "personalize", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*personalizeResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleExecute serves POST /execute: personalize and run the personalized
-// query, returning ranked rows. Results are cached like /personalize, with
-// the row limit part of the key.
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req personalizeRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prob, err := req.Problem.build()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	limit := req.Limit
-	if limit <= 0 {
-		limit = s.cfg.MaxRows
-	}
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("%s|a=%s k=%d b=%d any=%v merge=%v lim=%d",
-			prob, req.Algorithm, req.K, req.Budget, req.AnyMatch, req.Merge, limit)
-		key = s.cacheKey("execute", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("execute", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*executeResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "execute").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "execute")
-	defer cancel()
-	build := func(prob cqp.Problem, alg string) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			res, err := s.p.PersonalizeContext(ctx, q, prof, prob,
-				buildOpts(alg, req.K, req.Budget, req.AnyMatch, req.Merge)...)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := res.ExecuteContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return executeResponseFrom(res, rows, req.ProfileID, version, limit), nil
-		}
-	}
-	rungs := []resilience.Step{s.step("heuristic", build(prob, "D_HeurDoi"))}
-	if tp, ok := tightenedProblem(prob, s.cfg.TightenFactor); ok {
-		rungs = append(rungs, s.step("tight-cmax", build(tp, "D_HeurDoi")))
-	}
-	o, leader := s.runPipeline(ctx, "execute", key, staleKey, build(prob, req.Algorithm), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "execute", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*executeResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleFront serves POST /front: the doi/cost Pareto frontier menu. Its
-// degradation ladder has no heuristic rung — the frontier IS the exhaustive
-// sweep — so after stale it goes straight to a tightened cmax (a smaller
-// frontier is still a truthful menu, just a shorter one).
-func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req frontRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("c=%g s=[%g,%g] n=%d k=%d b=%d", req.CmaxMS, req.Smin, req.Smax, req.MaxPoints, req.K, req.Budget)
-		key = s.cacheKey("front", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("front", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*frontResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "front").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "front")
-	defer cancel()
-	build := func(cmax float64) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			front, err := s.p.PersonalizeFrontContext(ctx, q, prof, cmax, req.Smin, req.Smax, req.MaxPoints, buildOpts("", req.K, req.Budget, false, false)...)
-			if err != nil {
-				return nil, err
-			}
-			fr := &frontResponse{
-				Points:    make([]frontPointJSON, 0, len(front.Points)),
-				Truncated: front.Truncated,
-			}
-			for _, fp := range front.Points {
-				fr.Points = append(fr.Points, frontPointJSON{
-					Preferences: fp.Preferences,
-					Doi:         fp.Doi,
-					CostMS:      fp.CostMS,
-					SizeRows:    fp.Size,
-					Knee:        fp.Knee,
-				})
-			}
-			return fr, nil
-		}
-	}
-	var rungs []resilience.Step
-	if req.CmaxMS > 0 {
-		rungs = append(rungs, s.step("tight-cmax", build(req.CmaxMS*s.cfg.TightenFactor)))
-	}
-	o, leader := s.runPipeline(ctx, "front", key, staleKey, build(req.CmaxMS), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "front", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*frontResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleTopK serves POST /topk: the k highest-interest answers. Like
-// /front, its ladder degrades by tightening cmax — fewer union branches
-// execute, the answers that do come back are still genuinely top-interest.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rec := obs.RequestFromContext(r.Context())
-	lp := startLaps(rec)
-	var req topkRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := cqp.ParseQuery(s.db.Schema(), req.SQL)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	prof, version, cacheable, stale, code, err := s.resolveProfile(r, req.ProfileID, req.Profile)
-	if err != nil {
-		s.fail(w, code, err)
-		return
-	}
-	rec.SetProfile(profileLabel(req.ProfileID, version))
-	trace := wantTrace(r, req.Trace)
-	lp.lap(obs.PhaseParse)
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.CmaxMS <= 0 {
-		req.CmaxMS = 400
-	}
-	key, staleKey := "", ""
-	if cacheable && !req.NoCache {
-		extra := fmt.Sprintf("c=%g k=%d maxk=%d", req.CmaxMS, req.K, req.MaxK)
-		key = s.cacheKey("topk", q, req.ProfileID, version, extra)
-		staleKey = s.staleKey("topk", q, req.ProfileID, extra)
-		v, ok := s.cacheGet(key)
-		lp.lap(obs.PhaseCache)
-		if ok {
-			rec.SetRole("hit")
-			resp := *v.(*topkResponse)
-			resp.Cached = true
-			if trace {
-				resp.Trace = cacheHitTrace(rec, "topk").Tree()
-				resp.RequestID, resp.AttributionUS = attribution(rec)
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-	}
-	ctx, cancel, tr := s.requestContext(r, req.TimeoutMS, "topk")
-	defer cancel()
-	build := func(cmax float64) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			answers, err := s.p.PersonalizeTopKContext(ctx, q, prof, cmax, req.K, buildOpts("", req.MaxK, 0, false, false)...)
-			if err != nil {
-				return nil, err
-			}
-			out := &topkResponse{Answers: make([]rowJSON, 0, len(answers))}
-			for _, a := range answers {
-				vals := make([]string, len(a.Row))
-				for j, v := range a.Row {
-					vals[j] = v.String()
-				}
-				out.Answers = append(out.Answers, rowJSON{Values: vals, Doi: a.Doi, Matched: a.Matched})
-			}
-			return out, nil
-		}
-	}
-	rungs := []resilience.Step{s.step("tight-cmax", build(req.CmaxMS*s.cfg.TightenFactor))}
-	o, leader := s.runPipeline(ctx, "topk", key, staleKey, build(req.CmaxMS), rungs...)
-	if o.admitErr != nil {
-		s.shedOrStale(w, rec, "topk", staleKey, o.admitErr)
-		return
-	}
-	if o.perr != nil {
-		s.fail(w, pipelineStatus(o.perr), o.perr)
-		return
-	}
-	if o.out == nil {
-		s.fail(w, http.StatusGatewayTimeout, errDeadlineSkipped)
-		return
-	}
-	resp := *o.out.(*topkResponse)
-	resp.Degraded = o.degraded
-	if stale && resp.Degraded == "" {
-		resp.Degraded = degradedStaleReplica
-	}
-	rec.SetRung(resp.Degraded)
-	if leader && o.degraded == "" {
-		s.cachePut(key, staleKey, req.ProfileID, o.out)
-	} else if o.degraded == "stale" {
-		resp.Cached = true
-	}
-	tr.End()
-	if trace {
-		resp.Trace = tr.Tree()
-		resp.RequestID, resp.AttributionUS = attribution(rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return vals
 }
 
 // profileJSON is the single-profile response shape. StaleReplica marks an

@@ -173,14 +173,16 @@ type options struct {
 	budget    int
 }
 
-// defaultOptions is the single source of the per-call knob defaults.
-// PersonalizeContext, PersonalizeFrontContext and BatchItem.fingerprint
-// all resolve options through it, so batch-dedup identity can never drift
-// from the defaults the pipeline actually runs — a default changed in one
-// site used to silently merge batch items whose effective behavior
-// differed.
-func defaultOptions() options {
-	return options{maxK: 20, budget: 1 << 20}
+// resolveOptions applies opts over the per-call knob defaults — their
+// single source. PersonalizeContext, PersonalizeFrontContext and
+// Request.Key all resolve options through it, so request identity can
+// never drift from the defaults the pipeline actually runs.
+func resolveOptions(opts []Option) options {
+	o := options{maxK: 20, budget: 1 << 20}
+	for _, fn := range opts {
+		fn(&o)
+	}
+	return o
 }
 
 // Option customizes one Personalize call.
@@ -346,10 +348,7 @@ func (p *Personalizer) Personalize(q *Query, u *Profile, prob Problem, opts ...O
 // construct; ExecuteContext adds the execute phase. Without a trace in ctx
 // the call behaves exactly like Personalize.
 func (p *Personalizer) PersonalizeContext(ctx context.Context, q *Query, u *Profile, prob Problem, opts ...Option) (*Result, error) {
-	o := defaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
+	o := resolveOptions(opts)
 	if err := q.Validate(p.db.Schema()); err != nil {
 		return nil, err
 	}
@@ -532,10 +531,7 @@ func (p *Personalizer) PersonalizeFront(q *Query, u *Profile, costMax, sizeMin, 
 // PersonalizeContext checks (before extraction, before the frontier search,
 // before construction of the menu).
 func (p *Personalizer) PersonalizeFrontContext(ctx context.Context, q *Query, u *Profile, costMax, sizeMin, sizeMax float64, maxPoints int, opts ...Option) (*Front, error) {
-	o := defaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
+	o := resolveOptions(opts)
 	if err := q.Validate(p.db.Schema()); err != nil {
 		return nil, err
 	}
